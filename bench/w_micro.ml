@@ -100,7 +100,7 @@ let micro ?json ~full ~jobs () =
   (* Event-kernel churn: a self-rescheduling event population — every
      firing schedules the next — so the measured cost is pure
      scheduler: enqueue, locate-min, pop, dispatch. The new kernel runs
-     it through [schedule_fast] dispatch records (no closure per
+     it through [schedule_fast] dispatch events (no closure per
      event); [churn_ref] below replays the exact same event sequence on
      the pre-overhaul engine shape (binary-heap frontier, one fresh
      thunk allocated per event). Delays are quantized to multiples of
@@ -225,8 +225,8 @@ let micro ?json ~full ~jobs () =
   in
   pr "%-34s %14.2f x (ref / csr, paired batches)\n" "scmp/dijkstra-100-speedup"
     dij_speedup;
-  (* The event-kernel gate: calendar-queue + dispatch-record engine
-     against the heap-and-thunks shape it replaced, same interleaved
+  (* The event-kernel gate: ticket-slab + radix-heap engine against
+     the heap-and-thunks shape it replaced, same interleaved
      discipline. *)
   let churn_speedup =
     paired_ratio ~k:(if full then 11 else 9) ~min_batch_s churn_new churn_ref

@@ -418,15 +418,26 @@ let run_cmd =
       |> List.filter (fun x -> x <> center)
     in
     let source = List.hd members in
+    (* Parsed and range-checked against the topology up front, so a
+       bad string exits 2 naming itself before anything runs. *)
+    let fault_arg flag parse s =
+      match
+        Result.bind (parse s) (fun specs ->
+            Result.map (fun () -> specs)
+              (Eventsim.Faults.check_nodes ~nodes:n specs))
+      with
+      | Ok specs -> specs
+      | Error e -> usage_die "run" (Printf.sprintf "%s %S: %s" flag s e)
+    in
     let parsed_faults =
       List.concat_map
-        (fun s -> or_die (Eventsim.Faults.parse_link_failure s))
+        (fault_arg "--fail-link" Eventsim.Faults.parse_link_failure)
         fail_links
       @ List.concat_map
-          (fun s -> or_die (Eventsim.Faults.parse_node_failure s))
+          (fault_arg "--fail-node" Eventsim.Faults.parse_node_failure)
           fail_nodes
       @ List.concat_map
-          (fun s -> or_die (Eventsim.Faults.parse_partition s))
+          (fault_arg "--partition" Eventsim.Faults.parse_partition)
           partitions
     in
     let sc =
@@ -633,8 +644,10 @@ let sweep_cmd =
     let spec, check =
       match manifest with
       | Some path ->
-        let m = or_die (Scenario.Manifest.load ~path) in
-        (or_die (Scenario.Manifest.to_sweep m), check || m.Scenario.Manifest.check)
+        (* a manifest that does not load is bad input: exit 2 *)
+        let input = function Ok v -> v | Error e -> usage_die "sweep" e in
+        let m = input (Scenario.Manifest.load ~path) in
+        (input (Scenario.Manifest.to_sweep m), check || m.Scenario.Manifest.check)
       | None ->
         require "sweep" (packets >= 1) "--packets must be >= 1";
         require "sweep" (group_sizes <> []) "--group-sizes must be non-empty";

@@ -40,19 +40,15 @@ echo "== bench gate (micro smoke vs BENCH.json, ab bench profile)"
 dune exec bench/main.exe -- micro --json /tmp/bench_smoke.json > /dev/null
 grep -q '"schema": "scmp-report/1"' /tmp/bench_smoke.json
 $SIM ab BENCH.json /tmp/bench_smoke.json --profile bench
-# The event-kernel overhaul's absolute floor: the calendar-queue +
-# dispatch-record engine must hold at least 2x over the preserved
+# The event-kernel overhaul's absolute floor: the ticket-slab +
+# radix-heap engine must hold at least 2x over the preserved
 # heap-and-thunks reference on the churn workload. Paired interleaved
 # batches, so the ratio is immune to host speed drift.
 $SIM metric /tmp/bench_smoke.json 'micro/engine-churn-speedup/x' --ge 2.0 > /dev/null
-# The dijkstra redesign's structural claim: no hashtable lookups remain
-# on the SPT / APSP / route-invalidation hot path — CSR arrays and
-# edge-id bitsets only.
-if grep -n "Hashtbl" lib/netgraph/dijkstra.ml lib/netgraph/apsp.ml \
-  lib/eventsim/routes.ml; then
-  echo "check.sh: Hashtbl on the routing hot path" >&2
-  exit 1
-fi
+# The dijkstra redesign's structural claim — no hashtable on the SPT /
+# APSP / route-invalidation hot path, CSR arrays and edge-id bitsets
+# only — is the Error-severity `routing-hashtbl` lint rule, enforced by
+# the lint gate above.
 
 # Fault smoke: SCMP survives 5% control-plane loss plus a scripted
 # mid-session failure of tree link 23-24 (ARPANET seed 1) — invariants

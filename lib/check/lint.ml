@@ -202,6 +202,7 @@ let rule_physical_eq = "physical-eq"
 let rule_exec_capture = "exec-capture"
 let rule_graph_freeze = "graph-freeze"
 let rule_raw_engine_queue = "raw-engine-queue"
+let rule_routing_hashtbl = "routing-hashtbl"
 let rule_parse_failure = "parse-failure"
 let rule_unused_suppression = "unused-suppression"
 
@@ -340,15 +341,11 @@ let ast_domain_safety (ctx : Rule.ctx) structure =
 (* The event kernel owns its queue: every schedule inside the
    simulation layer goes through Engine, which is what keeps the
    clock, the foreground count, the executed counter and the
-   high-water mark truthful. A Heap or Calendar_queue frontier
-   anywhere else in lib/eventsim is a second scheduler the engine
-   cannot see — exactly the shape the event-kernel overhaul removed.
+   high-water mark truthful. A Heap or Radix_heap frontier anywhere
+   else in lib/eventsim is a second scheduler the engine cannot see.
    Both spellings, as with raw_transmit_targets. *)
 let engine_queue_prefixes =
-  [
-    "Heap."; "Scmp_util.Heap.";
-    "Calendar_queue."; "Scmp_util.Calendar_queue.";
-  ]
+  [ "Heap."; "Scmp_util.Heap."; "Radix_heap."; "Scmp_util.Radix_heap." ]
 
 let ast_raw_engine_queue (ctx : Rule.ctx) structure =
   Ast_scan.iter_exprs structure (fun e ->
@@ -364,6 +361,55 @@ let ast_raw_engine_queue (ctx : Rule.ctx) structure =
                  p))
           (List.find_opt (fun pre -> has_prefix p pre) engine_queue_prefixes)
       | _ -> ())
+
+(* The SPT / APSP / route-invalidation hot path runs on CSR arrays and
+   edge-id bitsets only. Any path through Hashtbl — a value, a type, a
+   module alias, an open, a functor application — fires. *)
+let routing_hot_path =
+  [ "lib/netgraph/dijkstra.ml"; "lib/netgraph/apsp.ml"; "lib/eventsim/routes.ml" ]
+
+let on_routing_hot_path p =
+  List.exists
+    (fun f -> Filename.check_suffix ("/" ^ p) ("/" ^ f))
+    routing_hot_path
+
+let rec mentions_hashtbl = function
+  | Longident.Lident s -> s = "Hashtbl"
+  | Longident.Ldot (l, s) -> s = "Hashtbl" || mentions_hashtbl l
+  | Longident.Lapply (a, b) -> mentions_hashtbl a || mentions_hashtbl b
+
+let ast_routing_hashtbl (ctx : Rule.ctx) structure =
+  let flag (lid : Longident.t Location.loc) =
+    if mentions_hashtbl lid.txt then
+      emit_at ctx lid.loc
+        (Printf.sprintf
+           "%s on the routing hot path; SPT, APSP and route invalidation \
+            use CSR arrays and edge-id bitsets only"
+           (Ast_scan.ident_path lid.txt))
+  in
+  let default = Ast_iterator.default_iterator in
+  let it =
+    {
+      default with
+      expr =
+        (fun it e ->
+          (match e.pexp_desc with Pexp_ident lid -> flag lid | _ -> ());
+          default.expr it e);
+      typ =
+        (fun it t ->
+          (match t.ptyp_desc with Ptyp_constr (lid, _) -> flag lid | _ -> ());
+          default.typ it t);
+      module_expr =
+        (fun it m ->
+          (match m.pmod_desc with Pmod_ident lid -> flag lid | _ -> ());
+          default.module_expr it m);
+      module_type =
+        (fun it m ->
+          (match m.pmty_desc with Pmty_ident lid -> flag lid | _ -> ());
+          default.module_type it m);
+    }
+  in
+  it.structure it structure
 
 (* D1 — Hashtbl iteration order feeding observable output. *)
 
@@ -814,11 +860,16 @@ let registry : Rule.t list =
       ~ast:ast_graph_freeze ~lines:line_graph_freeze ();
     Rule.make ~id:rule_raw_engine_queue ~severity:Error
       ~doc:
-        "the engine owns the event queue: no direct Heap or \
-         Calendar_queue frontier inside lib/eventsim outside engine.ml"
+        "the engine owns the event queue: no direct Heap or Radix_heap \
+         inside lib/eventsim outside engine.ml"
       ~scope:(fun p ->
         in_eventsim p && not (has_prefix (Filename.basename p) "engine."))
       ~ast:ast_raw_engine_queue ();
+    Rule.make ~id:rule_routing_hashtbl ~severity:Error
+      ~doc:
+        "no Hashtbl on the routing hot path (lib/netgraph/dijkstra.ml, \
+         lib/netgraph/apsp.ml, lib/eventsim/routes.ml)"
+      ~scope:on_routing_hot_path ~ast:ast_routing_hashtbl ();
   ]
 
 let all_rules =

@@ -67,6 +67,7 @@ val rule_physical_eq : string
 val rule_exec_capture : string
 val rule_graph_freeze : string
 val rule_raw_engine_queue : string
+val rule_routing_hashtbl : string
 val rule_parse_failure : string
 val rule_unused_suppression : string
 

@@ -1,18 +1,21 @@
 (** Discrete-event simulation engine.
 
-    A time-ordered queue of events over a monotone calendar queue
-    ({!Scmp_util.Calendar_queue}). Events scheduled for the same
-    instant execute in scheduling order (FIFO), which makes whole-run
-    behaviour deterministic — a property the reproduction relies on for
-    seed-stable experiment output.
+    A time-ordered queue of events. Events live in a struct-of-arrays
+    slab addressed by int tickets (recycled through a free list), and
+    the schedule is a {!Scmp_util.Radix_heap} of tickets keyed by event
+    time — the same monotone bucket queue the Dijkstra frontier uses.
+    Events scheduled for the same instant execute in scheduling order
+    (FIFO), which makes whole-run behaviour deterministic — a property
+    the reproduction relies on for seed-stable experiment output.
 
     Events come in three shapes: a general thunk ({!schedule} /
-    {!schedule_at}), a periodic task ({!every}) whose single record is
-    re-enqueued after each firing, and a closure-free fast path
+    {!schedule_at}), a periodic task ({!every}) whose single ticket is
+    re-added after each firing, and a closure-free fast path
     ({!schedule_fast}) that carries five immediate ints to a
     {!dispatch} handler registered once per event family — the shape
     the packet-delivery hot path uses to avoid allocating a thunk per
-    simulated packet. *)
+    simulated packet. A fired event's slot drops its closure, so the
+    engine never keeps a fired event's environment reachable. *)
 
 type t
 
@@ -36,8 +39,8 @@ val every :
 (** Recurring event starting one [interval] from now, stopping after
     [until] (absolute, inclusive) if given. The window gates every
     firing including the first: if [now t +. interval > until] the
-    task never fires. The whole recurrence is one event record,
-    re-enqueued after each firing — N firings keep O(1) live records.
+    task never fires. The whole recurrence is one slab slot, re-added
+    after each firing — N firings keep O(1) live slots.
     [background] events (e.g. periodic IGMP queries) do not keep
     {!run} alive — see {!run}.
     @raise Invalid_argument on non-positive interval. *)
@@ -62,8 +65,8 @@ val schedule_fast :
   unit
 (** [schedule_fast t ~time d a b c x y] enqueues an event that runs
     as [d a b c x y] — same ordering and background semantics as
-    {!schedule_at}, but the event is a flat record of immediates: no
-    closure is allocated per event.
+    {!schedule_at}, but the event is a slab slot of immediates: nothing
+    is allocated per event.
     @raise Invalid_argument if [time < now t]. *)
 
 val pending : t -> int
@@ -90,9 +93,7 @@ val run : ?until:float -> t -> unit
     event remains (quiescence — periodic background work alone does not
     keep the run alive). With [until]: execute every event, background
     included, scheduled up to [until]; later events remain queued and
-    the clock settles at [until]. Each iteration is a single
-    locate-and-pop on the calendar queue — no peek-then-pop double
-    search. *)
+    the clock settles at [until]. *)
 
 val step : t -> bool
 (** Execute exactly the next event; [false] if none. *)

@@ -127,20 +127,19 @@ let random_partitions ~seed ~count ~t0 ~t1 ?heal_after graph =
 
 (* ---------------- CLI parsing ---------------- *)
 
-let parse_restore tail =
-  (* "restore@T" *)
-  match String.split_on_char '@' tail with
-  | [ "restore"; at ] -> float_of_string_opt at
-  | _ -> None
+(* An event time: finite and non-negative, with -0 read as 0 (the
+   engine's queue bins keys by their bit pattern, where -0 sorts below
+   every positive time). *)
+let time_of_string s =
+  match float_of_string_opt s with
+  | Some t when Float.is_finite t && t >= 0.0 -> Some (t +. 0.0)
+  | Some _ | None -> None
 
-let with_restore mk at = function
-  | None -> Ok [ { at; event = mk false } ]
-  | Some tail -> (
-    match parse_restore tail with
-    | Some at' when at' >= at ->
-      Ok [ { at; event = mk false }; { at = at'; event = mk true } ]
-    | Some _ -> Error "restore time precedes failure time"
-    | None -> Error "expected :restore@TIME")
+(* "KEYWORD@T", the tail of a restore or heal clause *)
+let parse_tail keyword tail =
+  match String.split_on_char '@' tail with
+  | [ k; at ] when k = keyword -> time_of_string at
+  | _ -> None
 
 let split_restore s =
   match String.index_opt s ':' with
@@ -148,66 +147,81 @@ let split_restore s =
   | Some i ->
     (String.sub s 0 i, Some (String.sub s (i + 1) (String.length s - i - 1)))
 
+(* One event at [at], or with a [KEYWORD@T'] tail its undo at [T'] too. *)
+let with_undo ~keyword ~what ev undo at = function
+  | None -> Ok [ { at; event = ev } ]
+  | Some tail -> (
+    match parse_tail keyword tail with
+    | Some at' when at' >= at ->
+      Ok [ { at; event = ev }; { at = at'; event = undo } ]
+    | Some _ -> Error (Printf.sprintf "%s time precedes %s time" keyword what)
+    | None ->
+      Error
+        (Printf.sprintf "expected :%s@TIME, TIME a finite number >= 0" keyword))
+
+let syntax_error form =
+  Error (Printf.sprintf "expected %s, TIME a finite number >= 0" form)
+
 let parse_link_failure s =
   let main, restore = split_restore s in
-  let err = Error (Printf.sprintf "cannot parse %S: expected A-B@TIME[:restore@TIME]" s) in
+  let err = syntax_error "A-B@TIME[:restore@TIME]" in
   match String.split_on_char '@' main with
   | [ ends; at ] -> (
-    match (String.split_on_char '-' ends, float_of_string_opt at) with
+    match (String.split_on_char '-' ends, time_of_string at) with
     | [ a; b ], Some at -> (
       match (int_of_string_opt a, int_of_string_opt b) with
       | Some a, Some b when a <> b ->
-        with_restore
-          (fun up -> if up then Link_up (a, b) else Link_down (a, b))
-          at restore
+        with_undo ~keyword:"restore" ~what:"failure" (Link_down (a, b))
+          (Link_up (a, b)) at restore
       | _ -> err)
     | _ -> err)
   | _ -> err
 
 let parse_node_failure s =
   let main, restore = split_restore s in
-  let err = Error (Printf.sprintf "cannot parse %S: expected NODE@TIME[:restore@TIME]" s) in
+  let err = syntax_error "NODE@TIME[:restore@TIME]" in
   match String.split_on_char '@' main with
   | [ x; at ] -> (
-    match (int_of_string_opt x, float_of_string_opt at) with
+    match (int_of_string_opt x, time_of_string at) with
     | Some x, Some at ->
-      with_restore (fun up -> if up then Node_up x else Node_down x) at restore
+      with_undo ~keyword:"restore" ~what:"failure" (Node_down x) (Node_up x) at
+        restore
     | _ -> err)
   | _ -> err
 
-let parse_heal tail =
-  (* "heal@T" *)
-  match String.split_on_char '@' tail with
-  | [ "heal"; at ] -> float_of_string_opt at
-  | _ -> None
-
 let parse_partition s =
   let main, heal = split_restore s in
-  let err =
-    Error (Printf.sprintf "cannot parse %S: expected A,B,C@TIME[:heal@TIME]" s)
-  in
+  let err = syntax_error "A,B,C@TIME[:heal@TIME]" in
   match String.split_on_char '@' main with
   | [ nodes; at ] -> (
     let side =
       List.map int_of_string_opt (String.split_on_char ',' nodes)
     in
-    match (float_of_string_opt at, List.exists (fun x -> x = None) side) with
-    | Some at, false -> (
+    match (time_of_string at, List.exists (fun x -> x = None) side) with
+    | Some at, false ->
       let side = List.filter_map (fun x -> x) side in
       if side = [] then err
       else
-        match heal with
-        | None -> Ok [ { at; event = Partition side } ]
-        | Some tail -> (
-          match parse_heal tail with
-          | Some at' when at' >= at ->
-            Ok
-              [ { at; event = Partition side };
-                { at = at'; event = Heal side } ]
-          | Some _ -> Error "heal time precedes partition time"
-          | None -> Error "expected :heal@TIME"))
+        with_undo ~keyword:"heal" ~what:"partition" (Partition side)
+          (Heal side) at heal
     | _ -> err)
   | _ -> err
+
+let event_nodes = function
+  | Link_down (a, b) | Link_up (a, b) -> [ a; b ]
+  | Node_down x | Node_up x -> [ x ]
+  | Partition side | Heal side -> side
+
+let check_nodes ~nodes specs =
+  match
+    List.find_opt
+      (fun x -> x < 0 || x >= nodes)
+      (List.concat_map (fun sp -> event_nodes sp.event) specs)
+  with
+  | None -> Ok ()
+  | Some x ->
+    Error
+      (Printf.sprintf "node %d out of range for a %d-node topology" x nodes)
 
 let observe t m =
   let set_c name v = Obs.Metrics.set_counter (Obs.Metrics.counter m name) v in

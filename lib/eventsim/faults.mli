@@ -74,14 +74,24 @@ val random_partitions :
 
 val parse_link_failure : string -> (spec list, string) result
 (** Parse the CLI syntax [A-B\@TIME] or [A-B\@TIME:restore\@TIME'] into
-    one or two events. *)
+    one or two events. Every [TIME] must be a finite number [>= 0]
+    ([nan], [inf] and negative times are rejected), and a restore may
+    not precede its failure. The error does not repeat the string; a
+    caller reporting it names the string itself. *)
 
 val parse_node_failure : string -> (spec list, string) result
-(** Parse [NODE\@TIME] or [NODE\@TIME:restore\@TIME']. *)
+(** Parse [NODE\@TIME] or [NODE\@TIME:restore\@TIME'] (times as for
+    {!parse_link_failure}). *)
 
 val parse_partition : string -> (spec list, string) result
 (** Parse [A,B,C\@TIME] or [A,B,C\@TIME:heal\@TIME'] into a partition
-    event (side = the listed nodes) and optionally its heal. *)
+    event (side = the listed nodes) and optionally its heal (times as
+    for {!parse_link_failure}). *)
+
+val check_nodes : nodes:int -> spec list -> (unit, string) result
+(** Every node the specs name lies in [\[0, nodes)] — the up-front
+    check against a topology's size, made before any simulation
+    starts; the error names the first offending node. *)
 
 val event_to_string : event -> string
 

@@ -52,6 +52,10 @@ let topo_of_string s =
             arpanet)"
            s))
 
+let topo_nodes = function
+  | Waxman n | Random3 n | Random5 n -> n
+  | Arpanet -> Topology.Arpanet.node_count
+
 let generate_topo topo seed =
   match topo with
   | Waxman n -> Topology.Waxman.generate ~seed ~n ()

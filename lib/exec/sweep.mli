@@ -38,6 +38,9 @@ val topo_of_string : string -> (topo, string) result
 (** Inverse of {!topo_to_string}: ["waxman:100"], ["random3:50"],
     ["random5:50"], ["arpanet"]. *)
 
+val topo_nodes : topo -> int
+(** Node count of every topology the family generates. *)
+
 val generate_topo : topo -> int -> Topology.Spec.t
 (** Instantiate a topology cell from a seed — shared with the chaos
     campaign engine ({!Chaos}), which replays trials from (topo, seed)

@@ -1,7 +1,7 @@
 type candidate_set = Both | Least_cost_only | Shortest_delay_only
 
 type t = {
-  apsp : Netgraph.Apsp.t;
+  mutable apsp : Netgraph.Apsp.t;
   tree : Tree.t;
   bound : Bound.t;
   candidates : candidate_set;
@@ -21,6 +21,7 @@ let create ?(candidates = Both) apsp ~root ~bound () =
   }
 
 let tree t = t.tree
+let set_apsp t apsp = t.apsp <- apsp
 let bound t = t.bound
 
 let current_limit t =

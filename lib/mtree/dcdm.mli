@@ -47,6 +47,11 @@ val create :
 val tree : t -> Tree.t
 (** The live tree (do not mutate it directly). *)
 
+val set_apsp : t -> Netgraph.Apsp.t -> unit
+(** Route every later {!join} and {!leave} over a new table — the
+    m-router's fresh APSP after a topology change — keeping the current
+    tree as it is. The table must be over the same graph. *)
+
 val bound : t -> Bound.t
 
 val current_limit : t -> float

@@ -293,8 +293,19 @@ let run ?(check = false) ?report driver s =
                (Eventsim.Netsim.data_transmissions net
                + Eventsim.Netsim.control_transmissions net)))
     done;
-  Eventsim.Engine.run engine;
-  let run_wall = Obs.Clock.now_s () -. run0 in
+  (* The trace is saved as soon as the run ends, however it ends: a
+     failing invariant check (the pre-data checkpoint inside the run,
+     the quiescent ones below) leaves the trace it needs. *)
+  let save_trace () =
+    match (trace, s.trace_path) with
+    | Some tr, Some path -> ignore (Eventsim.Trace.save tr ~path)
+    | _ -> ()
+  in
+  let run_wall =
+    Fun.protect ~finally:save_trace (fun () ->
+        Eventsim.Engine.run engine;
+        Obs.Clock.now_s () -. run0)
+  in
   let expected = !expected_acc in
   (* Final checkpoint on the quiesced network: distributed state still
      coheres after every leave/PRUNE cascade, and packet conservation
@@ -322,9 +333,6 @@ let run ?(check = false) ?report driver s =
     | Ok () -> ()
     | Error msg ->
       raise (Check.Invariant.Violation ("runner driver verify: " ^ msg)));
-  (match (trace, s.trace_path) with
-  | Some tr, Some path -> ignore (Eventsim.Trace.save tr ~path)
-  | _ -> ());
   Option.iter
     (fun r ->
       (* Close both series at quiescence, then publish everything. *)

@@ -1176,6 +1176,13 @@ let on_topology_change t =
       IT.remove t.entries key;
       if was_member then IT.replace t.pending_iface key ())
     crashed;
+  (* Every group's DCDM state captured the table of its creation; point
+     all of them at the fresh one, or later joins of the groups kept
+     below graft over dead links. One keyed store per group, so
+     iteration order is immaterial. *)
+  List.iter
+    (fun a -> Hashtbl.iter (fun _ d -> Mtree.Dcdm.set_apsp d t.apsp) a.a_dcdm)
+    (authorities t);
   let now = Eventsim.Engine.now (N.engine t.net) in
   List.iter
     (fun a ->

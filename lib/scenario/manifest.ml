@@ -148,11 +148,24 @@ let driver_of_json key v =
   let* _ = Protocols.Driver.find s in
   Ok s
 
-let fault_line parse what key v =
+(* A fault string must parse and name only nodes every topology of
+   the manifest has — checked at load, before any cell runs. *)
+let fault_line topos parse what key v =
   let* s = get_string key v in
+  let bad e = Error (Printf.sprintf "field %S: bad %s %S: %s" key what s e) in
   match parse s with
-  | Ok _ -> Ok s
-  | Error e -> Error (Printf.sprintf "field %S: bad %s %S: %s" key what s e)
+  | Error e -> bad e
+  | Ok specs -> (
+    let out_of_range topo =
+      match
+        Eventsim.Faults.check_nodes ~nodes:(Exec.Sweep.topo_nodes topo) specs
+      with
+      | Ok () -> None
+      | Error e -> Some (Printf.sprintf "%s (%s)" e (Exec.Sweep.topo_to_string topo))
+    in
+    match List.find_map out_of_range topos with
+    | Some e -> bad e
+    | None -> Ok s)
 
 (* ---- the manifest itself ---- *)
 
@@ -182,15 +195,15 @@ let of_json j =
     let* loss = opt_field fields "loss" loss_of_json in
     let* link_failures =
       opt_field fields "link_failures" (fun k v ->
-          get_list k (fault_line Eventsim.Faults.parse_link_failure "link failure") v)
+          get_list k (fault_line topos Eventsim.Faults.parse_link_failure "link failure") v)
     in
     let* node_failures =
       opt_field fields "node_failures" (fun k v ->
-          get_list k (fault_line Eventsim.Faults.parse_node_failure "node failure") v)
+          get_list k (fault_line topos Eventsim.Faults.parse_node_failure "node failure") v)
     in
     let* partitions =
       opt_field fields "partitions" (fun k v ->
-          get_list k (fault_line Eventsim.Faults.parse_partition "partition") v)
+          get_list k (fault_line topos Eventsim.Faults.parse_partition "partition") v)
     in
     let* random_link_failures =
       opt_field fields "random_link_failures" random_failures_of_json

@@ -1,21 +1,22 @@
 (* Monotone bucket ("radix") heap over non-negative float keys with int
-   payloads — the Dijkstra frontier structure.
+   payloads — the Dijkstra frontier and the event engine's schedule
+   (ticket payloads).
 
-   Exploits the monotonicity of Dijkstra extraction: every key added is
-   >= the last extracted minimum, so entries can be binned by the
-   position of the highest bit in which their key's image differs from
-   the last minimum's. Bucket 0 holds keys equal to the floor and pops
-   in O(1); when it drains, the lowest non-empty bucket is scanned once
-   for its minimum and redistributed — each entry lands in a strictly
-   lower bucket (the classic radix-heap argument), so an entry is
-   touched O(63) times over its lifetime.
+   Exploits the monotonicity of Dijkstra extraction and of simulated
+   time: every key added is >= the last extracted minimum, so entries
+   can be binned by the position of the highest bit in which their
+   key's image differs from the last minimum's. Bucket 0 holds keys
+   equal to the floor and pops in O(1); when it drains, the lowest
+   non-empty bucket is scanned once for its minimum and redistributed —
+   each entry lands in a strictly lower bucket (the classic radix-heap
+   argument), so an entry is touched O(63) times over its lifetime.
 
    Equal keys pop in global FIFO (insertion) order: equal keys always
    compute the same bucket index, appends preserve arrival order, and
    redistribution scans a bucket front-to-back — so the relative order
    of equal keys survives every move. This matches {!Heap}'s seq-number
-   tie rule, which Dijkstra's byte-identical tie-breaking contract
-   depends on.
+   tie rule, which Dijkstra's byte-identical tie-breaking contract and
+   the engine's same-instant execution order depend on.
 
    Keys are stored as native-int images, not floats: for non-negative
    floats the IEEE-754 bit pattern is order-isomorphic to the value,
@@ -263,27 +264,6 @@ let pop_val t =
   end
   else pop_slow t
 
-(* [pop_val] and [is_empty] in one cross-module call — the drain-loop
-   form for payloads that are never negative (Dijkstra node ids). Under
-   the non-flambda compiler each module boundary is a real call, and
-   the empty test is one per loop iteration. *)
-let pop_or_neg t =
-  if t.size = 0 then -1
-  else begin
-    let b0 = Array.unsafe_get t.buckets 0 in
-    if t.head < b0.len then begin
-      let v = Array.unsafe_get b0.vals t.head in
-      t.head <- t.head + 1;
-      t.size <- t.size - 1;
-      if t.head = b0.len then begin
-        b0.len <- 0;
-        t.head <- 0
-      end;
-      v
-    end
-    else pop_slow t
-  end
-
 (* The maximal FIFO run of minimum-key entries, capped by the buffer.
    Equal keys always compute the same bucket index at any floor, so a
    run lives in a single bucket and is collected in one scan; a capped
@@ -367,22 +347,30 @@ let pop_run t buf =
     end
   end
 
+(* The minimum's image without popping it or moving any entry: bucket
+   0 holds keys equal to the floor, and otherwise the minimum lives in
+   the lowest non-empty bucket, found by a scan. Deliberately never
+   advances the floor: a caller that peeks, declines to pop (an engine
+   stopping at [run ~until]) and then adds a key between the old floor
+   and the peeked minimum must still be accepted. *)
+let min_image t =
+  if t.size = 0 then max_int
+  else if t.head < (Array.unsafe_get t.buckets 0).len then t.ifloor
+  else begin
+    let b = Array.unsafe_get t.buckets t.lowbi in
+    let keys = b.keys in
+    let m = ref (Array.unsafe_get keys 0) in
+    for k = 1 to b.len - 1 do
+      let ik = Array.unsafe_get keys k in
+      if ik < !m then m := ik
+    done;
+    !m
+  end
+
 let pop t =
   if t.size = 0 then None
   else begin
-    (* Peek by locating the minimum the same way pop_val will. *)
-    let b0 = t.buckets.(0) in
-    let key =
-      if t.head < b0.len then float_of_image b0.keys.(t.head)
-      else begin
-        let b = t.buckets.(t.lowbi) in
-        let mi = ref 0 in
-        for k = 1 to b.len - 1 do
-          if b.keys.(k) < b.keys.(!mi) then mi := k
-        done;
-        float_of_image b.keys.(!mi)
-      end
-    in
+    let key = float_of_image (min_image t) in
     Some (key, pop_val t)
   end
 

@@ -1,14 +1,19 @@
 (** Monotone bucket ("radix") heap: non-negative float keys, int
     payloads.
 
-    The Dijkstra frontier structure. Compared to the general {!Heap}:
-    O(1) amortized add and near-O(1) pop, but keys must be {e monotone}
-    — every key added must be >= the minimum most recently popped
-    (Dijkstra guarantees this: a relaxation pushes [d + w >= d]).
+    The one priority queue of the simulator's two hot loops: the
+    Dijkstra frontier (payload = node id) and the event engine's
+    schedule (payload = event ticket, see [Eventsim.Engine]).
+    Compared to the general {!Heap}: O(1) amortized add and near-O(1)
+    pop, but keys must be {e monotone} — every key added must be >= the
+    minimum most recently popped (Dijkstra guarantees this: a
+    relaxation pushes [d + w >= d]; so does an engine, whose clock only
+    moves forward).
 
     Equal keys pop in global insertion (FIFO) order, exactly like
-    {!Heap}'s sequence-number rule — shortest-path tie-breaking is
-    byte-identical under either frontier. *)
+    {!Heap}'s sequence-number rule — shortest-path tie-breaking and the
+    engine's same-instant execution order are byte-identical under
+    either structure. *)
 
 type t
 
@@ -43,14 +48,15 @@ val pop : t -> (float * int) option
 val pop_val : t -> int
 (** [pop] without the key — the allocation-free form for hot loops
     where the caller already knows the key (Dijkstra: the popped key is
-    always [dist.(v)]).
+    always [dist.(v)]; the engine: the ticket's slot holds its time).
     @raise Invalid_argument if the heap is empty. *)
 
-val pop_or_neg : t -> int
-(** [pop_val] that returns [-1] on an empty heap instead of raising —
-    folds the emptiness test into the pop so a drain loop is one call
-    per iteration instead of two. Only meaningful when every payload is
-    non-negative (Dijkstra node ids are). *)
+val min_image : t -> int
+(** Image of the current minimum key without popping it; [max_int] when
+    empty (strictly above the image of every float key, +infinity
+    included). Allocation-free, and it never moves an entry or advances
+    the floor, so a peek that is not followed by a pop leaves every
+    legal add legal. *)
 
 val pop_run : t -> int array -> int
 (** [pop_run t buf] pops the maximal run of minimum-key entries into

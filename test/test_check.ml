@@ -530,23 +530,53 @@ let test_lint_raw_engine_queue () =
   checkb "short spelling fires too" true
     (fires L.rule_raw_engine_queue "lib/eventsim/faults.ml"
        "let () = Heap.add q ~key:1.0 thunk\n");
-  checkb "calendar queue outside engine.ml fires" true
+  checkb "radix heap outside engine.ml fires" true
     (fires L.rule_raw_engine_queue "lib/eventsim/x.ml"
-       "let q = Scmp_util.Calendar_queue.create ()\n");
+       "let q = Scmp_util.Radix_heap.create ()\n");
+  checkb "short radix spelling fires too" true
+    (fires L.rule_raw_engine_queue "lib/eventsim/x.ml"
+       "let h = Radix_heap.create ()\n");
   checkb "engine.ml itself: clean (the queue's owner)" false
     (fires L.rule_raw_engine_queue "lib/eventsim/engine.ml"
-       "let q = Scmp_util.Calendar_queue.create ()\n");
-  checkb "outside lib/eventsim: clean (tests and benches may oracle)" false
-    (fires L.rule_raw_engine_queue "lib/mtree/x.ml"
-       "let q = Scmp_util.Heap.create ()\n");
+       "let q = Scmp_util.Radix_heap.create ()\n");
+  checkb "outside lib/eventsim: clean (Dijkstra, tests, benches)" false
+    (fires L.rule_raw_engine_queue "lib/netgraph/dijkstra.ml"
+       "let q = Scmp_util.Radix_heap.create ()\n");
   checkb "near-miss: Engine scheduling is the sanctioned path" false
     (fires L.rule_raw_engine_queue "lib/eventsim/netsim.ml"
        "let () = Engine.schedule e ~delay:1.0 thunk\n");
   checkb "near-miss: unrelated Heap-suffixed module" false
     (fires L.rule_raw_engine_queue "lib/eventsim/x.ml"
-       "let h = Radix_heap.create 4\n");
+       "let h = Pairing_heap.create 4\n");
   checkb "severity is Error" true
     (L.severity_of_rule L.rule_raw_engine_queue = L.Error)
+
+let test_lint_routing_hashtbl () =
+  (* the routing hot path's no-hashtable claim, scoped to exactly the
+     three files that carry it *)
+  checkb "Hashtbl value in dijkstra.ml fires" true
+    (fires L.rule_routing_hashtbl "lib/netgraph/dijkstra.ml"
+       "let memo = Hashtbl.create 8\n");
+  checkb "Hashtbl type in apsp.ml fires" true
+    (fires L.rule_routing_hashtbl "lib/netgraph/apsp.ml"
+       "type t = { memo : (int, float) Hashtbl.t }\n");
+  checkb "functor application in routes.ml fires" true
+    (fires L.rule_routing_hashtbl "lib/eventsim/routes.ml"
+       "module IT = Hashtbl.Make (Int)\n");
+  checkb "module alias fires" true
+    (fires L.rule_routing_hashtbl "lib/eventsim/routes.ml"
+       "module H = Stdlib.Hashtbl\nlet t = H.create 4\n");
+  checkb "near-miss: same code in a sibling file" false
+    (fires L.rule_routing_hashtbl "lib/netgraph/graph.ml"
+       "let memo = Hashtbl.create 8\n");
+  checkb "near-miss: a file merely named like one" false
+    (fires L.rule_routing_hashtbl "lib/netgraph/my_dijkstra.ml"
+       "let memo = Hashtbl.create 8\n");
+  checkb "near-miss: the word in a comment or string" false
+    (fires L.rule_routing_hashtbl "lib/netgraph/dijkstra.ml"
+       "(* no Hashtbl here *)\nlet doc = \"Hashtbl-free\"\n");
+  checkb "severity is Error" true
+    (L.severity_of_rule L.rule_routing_hashtbl = L.Error)
 
 let test_lint_quoted_strings () =
   (* regression: the old scanner did not blank {|...|} payloads, so a
@@ -753,6 +783,8 @@ let () =
             test_lint_raw_engine_queue;
           Alcotest.test_case "quoted-string regression" `Quick
             test_lint_quoted_strings;
+          Alcotest.test_case "routing-hashtbl hot-path scope" `Quick
+            test_lint_routing_hashtbl;
         ] );
       ( "lint-baseline",
         [

@@ -6,8 +6,10 @@
    driven by the textbook algorithm with the binary-heap frontier —
    distances, predecessors and companion metrics alike, ties included —
    across random Waxman topologies and quantized-weight graphs built to
-   force ties. Plus builder-misuse checks and a radix-heap unit suite
-   (FIFO tie order, monotone floor, batch pops, image encoding). *)
+   force ties. Plus builder-misuse checks and the radix-heap suite —
+   the one queue under both Dijkstra and the event engine: FIFO tie
+   order, monotone floor, peeks, batch pops, image encoding, and a
+   trace differential against the binary-heap oracle. *)
 
 module G = Netgraph.Graph
 module Dijkstra = Netgraph.Dijkstra
@@ -292,12 +294,33 @@ let test_radix_fifo () =
   Alcotest.(check (list int)) "fifo on ties" [ 10; 11; 1; 2; 3 ] pops;
   Alcotest.(check bool) "empty" true (Radix.is_empty h)
 
+let expect_invalid msg f =
+  match f () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail (msg ^ ": expected Invalid_argument")
+
 let test_radix_floor () =
   let h = Radix.create () in
   Alcotest.check_raises "negative key"
     (Invalid_argument
        "Radix_heap.add: key below the extracted minimum (or NaN)")
     (fun () -> Radix.add h ~key:(-1.0) 0);
+  expect_invalid "nan key" (fun () -> Radix.add h ~key:Float.nan 0);
+  Alcotest.check Alcotest.int "rejected adds left nothing" 0 (Radix.length h);
+  (* A peek never advances the floor: with more than the scan
+     threshold of entries in one bucket, [min_image] still only scans,
+     so a key between the floor and the peeked minimum — what an engine
+     schedules after [run ~until] stopped short of that minimum — is
+     accepted and pops first. *)
+  for i = 0 to 19 do
+    Radix.add h ~key:5.0 (100 + i)
+  done;
+  Alcotest.check Alcotest.int "peek" (Radix.image 5.0) (Radix.min_image h);
+  Radix.add h ~key:1.0 1;
+  Alcotest.check Alcotest.int "peek sees the lower add" (Radix.image 1.0)
+    (Radix.min_image h);
+  Alcotest.check Alcotest.int "lower add pops first" 1 (Radix.pop_val h);
+  Radix.clear h;
   (* The floor trails the extracted minimum lazily — it advances when a
      large bucket is redistributed. Enough equal keys force that
      advance deterministically, after which a below-minimum add is
@@ -316,9 +339,21 @@ let test_radix_floor () =
   Alcotest.check Alcotest.int "fifo after floor add" 11 (Radix.pop_val h);
   Radix.clear h;
   (* clear resets the floor to 0 *)
+  Alcotest.check Alcotest.int "cleared" 0 (Radix.length h);
   Radix.add h ~key:0.0 9;
-  Alcotest.check Alcotest.int "reusable after clear" 9 (Radix.pop_val h);
-  Alcotest.check Alcotest.int "pop_or_neg on empty" (-1) (Radix.pop_or_neg h)
+  Alcotest.check Alcotest.int "reusable after clear" 9 (Radix.pop_val h)
+
+let test_radix_empty () =
+  let h = Radix.create () in
+  Alcotest.(check bool) "is_empty" true (Radix.is_empty h);
+  Alcotest.check Alcotest.int "min_image of empty is max_int" max_int
+    (Radix.min_image h);
+  Alcotest.(check bool) "pop on empty" true (Radix.pop h = None);
+  Alcotest.check Alcotest.int "pop_run on empty" 0
+    (Radix.pop_run h (Array.make 2 0));
+  Alcotest.check_raises "pop_val on empty"
+    (Invalid_argument "Radix_heap.pop_val: heap is empty") (fun () ->
+      ignore (Radix.pop_val h))
 
 let test_radix_pop_run () =
   let h = Radix.create () in
@@ -336,58 +371,102 @@ let test_radix_pop_run () =
   Alcotest.check Alcotest.int "next value" 4 buf.(0);
   Alcotest.check Alcotest.int "empty run" 0 (Radix.pop_run h buf)
 
-(* Random monotone traces: the radix heap must pop exactly like the
-   binary heap under any Dijkstra-legal schedule (adds never below the
-   last popped key), including add_image and heap reuse via clear. *)
+(* Random monotone traces replayed against the binary-heap oracle, the
+   way both Dijkstra and the event engine drive the queue: adds (via
+   [add] and [add_image]) never below the last popped key, interleaved
+   with single pops, tie-run pops, peeks and the allocating [pop]. Keys
+   sit on multiples of 0.5 above the floor (exactly representable), so
+   equal-key collisions are frequent and the FIFO rule is exercised,
+   not just min-ordering; delta 0 re-adds at exactly the floor.
+   Payloads are insertion sequence numbers: every pop must return the
+   oracle's entry, every peek the oracle's minimum key, every run the
+   oracle's maximal equal-key prefix. *)
 let prop_radix_trace =
   QCheck.Test.make ~name:"radix heap = binary heap on monotone traces"
-    ~count:60 QCheck.small_nat
-    (fun seed ->
-      let rng = Prng.create ((seed * 31337) + 3) in
-      let rh = Radix.create () in
-      let bh = Heap.create () in
-      let floor = ref 0.0 in
-      let ok = ref true in
-      let n_ops = 40 + Prng.int rng 160 in
-      for i = 0 to n_ops - 1 do
-        if Prng.chance rng 0.55 || Heap.is_empty bh then begin
-          (* keys quantized so cross-implementation ties are common *)
-          let key = !floor +. (float_of_int (Prng.int rng 8) /. 2.0) in
-          if Prng.chance rng 0.5 then Radix.add rh ~key i
-          else Radix.add_image rh (Radix.image key) i;
-          Heap.add bh ~key i
-        end
-        else begin
-          match Heap.pop bh with
-          | None -> ()
-          | Some (k, v) ->
-            floor := k;
-            if Radix.pop_val rh <> v then ok := false
-        end
-      done;
-      (* drain what's left *)
-      let rec drain () =
+    ~count:300
+    (* long enough that buckets outgrow the min-scan threshold and get
+       redistributed *)
+    QCheck.(list_of_size Gen.(int_range 0 400) (pair (int_bound 11) (int_bound 6)))
+    (fun ops ->
+      let rh = Radix.create () and bh = Heap.create () in
+      let seq = ref 0 and floor = ref 0.0 and ok = ref true in
+      let expect b = if not b then ok := false in
+      let oracle_pop () =
         match Heap.pop bh with
-        | None -> ()
-        | Some (_, v) ->
-          if Radix.pop_or_neg rh <> v then ok := false;
-          drain ()
+        | Some (k, v) ->
+          floor := k;
+          Some (k, v)
+        | None -> None
       in
-      drain ();
-      if not (Radix.is_empty rh) then ok := false;
-      (* the same heaps again after clear: reuse must be clean *)
+      let peek () =
+        expect
+          (Radix.min_image rh
+          =
+          match Heap.min_key bh with Some k -> Radix.image k | None -> max_int)
+      in
+      let pop_val () =
+        match oracle_pop () with
+        | Some (_, v) -> expect (Radix.pop_val rh = v)
+        | None -> expect (Radix.is_empty rh)
+      in
+      let pop_run () =
+        let buf = Array.make 3 (-1) in
+        let n = Radix.pop_run rh buf in
+        let keys =
+          List.init n (fun i ->
+            match oracle_pop () with
+            | Some (k, v) ->
+              expect (buf.(i) = v);
+              k
+            | None ->
+              ok := false;
+              nan)
+        in
+        match keys with
+        | [] -> expect (Heap.is_empty bh)
+        | k :: rest ->
+          expect (List.for_all (fun k' -> k' = k) rest);
+          (* maximal: an uncapped run leaves no entry of its key *)
+          if n < Array.length buf then expect (Heap.min_key bh <> Some k)
+      in
+      List.iter
+        (fun (op, delta) ->
+          if op < 7 then begin
+            let key = !floor +. (0.5 *. float_of_int delta) in
+            incr seq;
+            if !seq land 1 = 0 then Radix.add rh ~key !seq
+            else Radix.add_image rh (Radix.image key) !seq;
+            Heap.add bh ~key !seq
+          end
+          else if op < 9 then pop_val ()
+          else if op = 9 then pop_run ()
+          else if op = 10 then peek ()
+          else expect (Radix.pop rh = oracle_pop ()))
+        ops;
+      while not (Heap.is_empty bh) do
+        peek ();
+        pop_val ()
+      done;
+      expect (Radix.is_empty rh && Radix.min_image rh = max_int);
+      (* reuse via clear must be clean *)
       Radix.clear rh;
       Radix.add rh ~key:0.5 7;
-      if Radix.pop_val rh <> 7 then ok := false;
+      expect (Radix.pop rh = Some (0.5, 7));
       !ok)
 
+(* The int image is what both payload kinds are binned by: it must be
+   order-isomorphic on non-negative floats, and [pop] must recover the
+   exact key from it. *)
 let prop_image_order =
   QCheck.Test.make ~name:"image is order-isomorphic on float keys"
-    ~count:200
+    ~count:300
     QCheck.(pair (float_bound_exclusive 1e9) (float_bound_exclusive 1e9))
     (fun (a, b) ->
       let a = Float.abs a and b = Float.abs b in
-      compare (Radix.image a) (Radix.image b) = compare a b)
+      let h = Radix.create () in
+      Radix.add h ~key:a 0;
+      compare (Radix.image a) (Radix.image b) = compare a b
+      && Radix.pop h = Some (a, 0))
 
 (* ------------------------------------------------------------------ *)
 
@@ -409,6 +488,7 @@ let () =
           Alcotest.test_case "fifo tie order" `Quick test_radix_fifo;
           Alcotest.test_case "monotone floor" `Quick test_radix_floor;
           Alcotest.test_case "pop_run batches" `Quick test_radix_pop_run;
+          Alcotest.test_case "empty heap" `Quick test_radix_empty;
           QCheck_alcotest.to_alcotest prop_radix_trace;
           QCheck_alcotest.to_alcotest prop_image_order;
         ] );

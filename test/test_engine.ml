@@ -1,11 +1,12 @@
-(* The event-kernel suite: the calendar-queue scheduler differentially
-   checked against the binary heap it replaced, the engine's error
-   paths and until-window edges, transmit-hook registration order, and
-   the O(1)-record periodic task. *)
+(* The event-kernel suite: the engine's execution order checked
+   against a binary-heap oracle, bad and below-clock event times, the
+   engine's error paths and until-window edges, transmit-hook
+   registration order, the O(1)-slot periodic task, and fired events
+   letting go of their closures. The ticket queue itself (Radix_heap)
+   is checked against the same oracle in test_csr.ml. *)
 
 module Engine = Eventsim.Engine
 module Netsim = Eventsim.Netsim
-module Cq = Scmp_util.Calendar_queue
 module Heap = Scmp_util.Heap
 module G = Netgraph.Graph
 
@@ -13,51 +14,118 @@ let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checkf msg = Alcotest.check (Alcotest.float 1e-9) msg
 
-(* ---------------- calendar queue vs heap oracle ---------------- *)
+(* ---------------- the event calendar vs heap oracle ---------------- *)
 
-(* Random monotone schedule/pop traces, replayed against both
-   structures. Key deltas are quantized to multiples of 0.5 (exactly
-   representable), so equal-key collisions are frequent and the FIFO
-   sequence rule is exercised, not just min-ordering; delta 0 re-adds
-   at exactly the last popped key, the monotonicity floor itself.
-   Payloads are insertion sequence numbers: every pop must return the
-   same (key, seq) pair from both structures, and both must drain to
-   the same tail. *)
+(* The "calendar-queue" suite checks the engine's pending-event set
+   (its event calendar: slot tickets on a Radix_heap) through the
+   Engine API. The queue alone is checked in test_csr.ml; here the
+   slab, ticket recycling and the three event kinds ride along. *)
+
+(* Random traces of closure, fast, child-scheduling and periodic
+   events, interleaved with [step] and [run ~until], replayed against a
+   binary-heap oracle. Every event logs a fresh id and the oracle
+   receives the same (time, id) at the moment the engine does — a
+   child inside its parent's body, a tick's next firing at the end of
+   the tick body, just before the engine re-adds the tick's ticket. Times
+   sit on multiples of 0.5 above the clock (exactly representable), so
+   same-instant ties are frequent and the FIFO rule is exercised; delta
+   0 schedules at the clock itself. The execution log must equal the
+   oracle's pop order, with the clock and pending count matching after
+   every operation. *)
 let prop_calendar_matches_heap =
   QCheck.Test.make ~name:"calendar queue matches heap oracle" ~count:300
-    QCheck.(list (pair (int_bound 9) (int_bound 6)))
+    QCheck.(list_of_size Gen.(int_range 0 200) (pair (int_bound 11) (int_bound 6)))
     (fun ops ->
-      let q = Cq.create () and h = Heap.create () in
-      let seq = ref 0 and floor = ref 0.0 and ok = ref true in
-      let pop_both () =
-        let a = Cq.pop q and b = Heap.pop h in
-        (match a with Some (k, _) -> floor := k | None -> ());
-        if a <> b then ok := false
+      let e = Engine.create () and oracle = Heap.create () in
+      let seq = ref 0 and log = ref [] and popped = ref [] and ok = ref true in
+      let expect b = if not b then ok := false in
+      let fresh time =
+        incr seq;
+        Heap.add oracle ~key:time !seq;
+        !seq
+      in
+      let at delta = Engine.now e +. (0.5 *. float_of_int delta) in
+      let oracle_pop () =
+        match Heap.pop oracle with
+        | Some (k, id) ->
+          popped := id :: !popped;
+          Some k
+        | None -> None
+      in
+      let add_closure time body =
+        let id = fresh time in
+        Engine.schedule_at e ~time (fun () ->
+            log := id :: !log;
+            body ())
+      in
+      let fast = Engine.dispatch (fun id _ _ _ _ -> log := id :: !log) in
+      let add_tick ~interval ~until =
+        let first = Engine.now e +. interval in
+        let id = ref (if first <= until then fresh first else 0) in
+        Engine.every e ~interval ~until (fun () ->
+            log := !id :: !log;
+            let next = Engine.now e +. interval in
+            if next <= until then begin
+              (* a same-instant event from the body pops before the
+                 tick's re-added ticket *)
+              add_closure next ignore;
+              id := fresh next
+            end)
       in
       List.iter
         (fun (op, delta) ->
-          if op < 7 then begin
-            (* the engine's invariant: keys never go below the last
-               extracted minimum *)
-            let key = !floor +. (0.5 *. float_of_int delta) in
-            incr seq;
-            Cq.add q ~key !seq;
-            Heap.add h ~key !seq
+          if op < 4 then add_closure (at delta) ignore
+          else if op < 6 then begin
+            let time = at delta in
+            Engine.schedule_fast e ~time fast (fresh time) 0 0 0 0
           end
-          else pop_both ())
+          else if op = 6 then add_closure (at 1) (fun () -> add_closure (at delta) ignore)
+          else if op = 7 then
+            add_tick ~interval:(0.5 *. float_of_int (delta + 1)) ~until:(at 6)
+          else if op < 10 then begin
+            let ran = Engine.step e in
+            match oracle_pop () with
+            | Some k -> expect (ran && Engine.now e = k)
+            | None -> expect (not ran)
+          end
+          else begin
+            let stop = at delta in
+            Engine.run ~until:stop e;
+            while
+              match Heap.min_key oracle with Some k -> k <= stop | None -> false
+            do
+              ignore (oracle_pop ())
+            done;
+            expect (Engine.now e = stop)
+          end;
+          expect (Engine.pending e = Heap.length oracle);
+          expect (!log = !popped))
         ops;
-      while (not (Cq.is_empty q)) || not (Heap.is_empty h) do
-        pop_both ()
+      Engine.run e;
+      while oracle_pop () <> None do
+        ()
       done;
-      !ok && Cq.length q = Heap.length h)
+      !ok && !log = !popped && Engine.pending e = 0)
 
+(* The queue is keyed by the int image of the event time, and
+   [run ~until] compares images: an event runs inside the window
+   exactly when its time is <= the horizon, and the clock then reads
+   back the exact time the event was scheduled at. *)
 let prop_image_order_isomorphic =
   QCheck.Test.make ~name:"image is order-preserving and invertible" ~count:300
     QCheck.(pair (float_bound_exclusive 1e9) (float_bound_exclusive 1e9))
     (fun (a, b) ->
-      Cq.key_of_image (Cq.image a) = a
-      && Cq.key_of_image (Cq.image b) = b
-      && compare (Cq.image a) (Cq.image b) = compare a b)
+      let a = Float.abs a and b = Float.abs b in
+      let e = Engine.create () in
+      let ran = ref false in
+      Engine.schedule_at e ~time:a (fun () -> ran := true);
+      Engine.run ~until:b e;
+      let in_window = !ran in
+      let window_ok = in_window = (a <= b) && Engine.now e = b in
+      (* outside the window the event is still pending; [step] runs it
+         and sets the clock to its time *)
+      ignore (Engine.step e);
+      window_ok && !ran && Engine.now e = if in_window then b else a)
 
 let expect_invalid msg f =
   match f () with
@@ -65,44 +133,60 @@ let expect_invalid msg f =
   | _ -> Alcotest.fail (msg ^ ": expected Invalid_argument")
 
 let test_calendar_rejects_bad_keys () =
-  let q = Cq.create () in
-  expect_invalid "negative key" (fun () -> Cq.add q ~key:(-1.0) 0);
-  expect_invalid "nan key" (fun () -> Cq.add q ~key:Float.nan 0);
-  checki "rejected adds left nothing" 0 (Cq.length q)
+  (* A NaN time passes the engine's past-time comparison and is
+     rejected by the queue before any slot is taken; a negative time is
+     in the past from the start. *)
+  let e = Engine.create () in
+  let d = Engine.dispatch (fun _ _ _ _ _ -> ()) in
+  expect_invalid "nan schedule_at" (fun () ->
+      Engine.schedule_at e ~time:Float.nan ignore);
+  expect_invalid "nan delay" (fun () -> Engine.schedule e ~delay:Float.nan ignore);
+  expect_invalid "nan schedule_fast" (fun () ->
+      Engine.schedule_fast e ~time:Float.nan d 0 0 0 0 0);
+  expect_invalid "negative time" (fun () -> Engine.schedule_at e ~time:(-1.0) ignore);
+  checki "rejected adds left nothing" 0 (Engine.pending e);
+  checki "no foreground event counted" 0 (Engine.pending_foreground e);
+  let ran = ref false in
+  Engine.schedule e ~delay:1.0 (fun () -> ran := true);
+  Engine.run e;
+  checkb "engine usable after rejections" true !ran;
+  checki "one live event at most" 1 (Engine.heap_high_water e)
 
 let test_calendar_below_floor_detected () =
-  (* The monotonicity floor trails lazily, advancing when a bucket is
-     redistributed. Force one deterministically: more than the scan
-     threshold of entries in one far bucket makes the next locate
-     redistribute and pull the floor up to the popped minimum, after
-     which an add below it must raise. *)
-  let q = Cq.create () in
+  (* More than the queue's scan threshold of events at one instant
+     makes the first pop redistribute their bucket and advance the
+     queue's floor to that instant. An add below the clock must still
+     be caught by the engine and name the failing call, and the
+     same-instant rest must run in FIFO order. *)
+  let e = Engine.create () in
+  let log = ref [] in
   for i = 1 to 32 do
-    Cq.add q ~key:100.0 i
+    Engine.schedule_at e ~time:100.0 (fun () -> log := i :: !log)
   done;
-  (match Cq.pop q with
-  | Some (100.0, 1) -> ()
-  | _ -> Alcotest.fail "expected FIFO minimum (100.0, 1)");
-  expect_invalid "add below advanced floor" (fun () -> Cq.add q ~key:50.0 0)
-
-let test_calendar_empty_queue () =
-  let q = Cq.create () in
-  checkb "is_empty" true (Cq.is_empty q);
-  checki "min_image of empty is max_int" max_int (Cq.min_image q);
-  expect_invalid "pop_min on empty" (fun () -> Cq.pop_min q);
-  checkb "pop on empty" true (Cq.pop q = None)
-
-let test_calendar_clear_resets_floor () =
-  let q = Cq.create () in
+  checkb "stepped" true (Engine.step e);
+  checkf "clock at the first event" 100.0 (Engine.now e);
+  Alcotest.check_raises "schedule_at below the clock"
+    (Invalid_argument "Engine.schedule_at: time in the past") (fun () ->
+      Engine.schedule_at e ~time:50.0 ignore);
+  let d = Engine.dispatch (fun _ _ _ _ _ -> ()) in
+  Alcotest.check_raises "schedule_fast below the clock"
+    (Invalid_argument "Engine.schedule_fast: time in the past") (fun () ->
+      Engine.schedule_fast e ~time:50.0 d 0 0 0 0 0);
+  checki "rejected adds left nothing" 31 (Engine.pending e);
+  Engine.run e;
+  Alcotest.(check (list int)) "fifo at one instant" (List.init 32 succ) (List.rev !log);
+  (* [run ~until] short of the minimum only peeks: a time between the
+     parked clock and that minimum stays legal and runs first *)
+  let e = Engine.create () and log = ref [] in
   for i = 1 to 32 do
-    Cq.add q ~key:100.0 i
+    Engine.schedule_at e ~time:5.0 (fun () -> log := i :: !log)
   done;
-  ignore (Cq.pop q);
-  Cq.clear q;
-  checki "cleared" 0 (Cq.length q);
-  (* the floor is back at 0: a key below the old floor is accepted *)
-  Cq.add q ~key:0.0 7;
-  checkb "usable after clear" true (Cq.pop q = Some (0.0, 7))
+  Engine.run ~until:2.0 e;
+  checki "nothing ran" 0 (Engine.events_executed e);
+  Engine.schedule_at e ~time:3.0 (fun () -> log := 0 :: !log);
+  Engine.run e;
+  checki "all ran" 33 (Engine.events_executed e);
+  checki "in-between event first" 0 (List.nth (List.rev !log) 0)
 
 (* ---------------- engine error paths ---------------- *)
 
@@ -147,14 +231,15 @@ let test_engine_until_in_the_past_is_noop () =
   checkf "clock never rewinds" 3.0 (Engine.now e);
   checki "future event untouched" 1 (Engine.pending e)
 
-(* ---------------- periodic task: O(1) live records ---------------- *)
+(* ---------------- periodic task: O(1) live slots ---------------- *)
 
 let test_every_constant_live_records () =
-  (* One [every] task fires N times off a single event record that
-     re-enqueues itself; with nothing else scheduled, the queue never
-     holds more than that one record, so the high-water mark pins the
-     O(1) claim structurally — the old recursive-closure engine also
-     kept one pending event, but allocated a fresh closure per tick. *)
+  (* One [every] task fires N times off a single ticket that is
+     re-added after each firing; with nothing else scheduled, the queue
+     never holds more than that one ticket, so the high-water mark pins
+     the O(1) claim structurally — the old recursive-closure engine
+     also kept one pending event, but allocated a fresh closure per
+     tick. *)
   let e = Engine.create () in
   let n = 10_000 in
   let ticks = ref 0 in
@@ -165,7 +250,7 @@ let test_every_constant_live_records () =
   checki "one live event record throughout" 1 (Engine.heap_high_water e)
 
 let test_every_reenqueues_after_body () =
-  (* The tick record goes back on the queue after its body ran, so an
+  (* The tick's ticket goes back on the queue after its body ran, so an
      event the body scheduled for the very next firing instant was
      inserted first and pops first — the FIFO order the old recursive
      closure produced. *)
@@ -180,6 +265,43 @@ let test_every_reenqueues_after_body () =
   Engine.run e;
   checkb "probe pops before the tied second tick" true
     (List.rev !log = [ `Tick 1; `Probe; `Tick 2 ])
+
+(* ---------------- fired events release their closures ------------ *)
+
+(* Schedule an event whose closure captures a fresh block, and hand back
+   a weak pointer to that block; a separate function so no stack slot
+   of the test itself keeps the block alive. *)
+let[@inline never] schedule_capturing e =
+  let w = Weak.create 1 in
+  let captured = ref 12345 in
+  Weak.set w 0 (Some captured);
+  Engine.schedule e ~delay:1.0 (fun () -> captured := !captured + 1);
+  w
+
+let[@inline never] every_capturing e =
+  let w = Weak.create 1 in
+  let captured = ref 0 in
+  Weak.set w 0 (Some captured);
+  Engine.every e ~interval:1.0 ~until:3.0 (fun () -> incr captured);
+  w
+
+let test_fired_closure_collectable () =
+  (* A fired event's slot must drop its closure: once the run is over
+     the engine (still live) may not keep the event's environment
+     reachable. *)
+  let e = Engine.create () in
+  let w = schedule_capturing e in
+  let wt = every_capturing e in
+  Engine.run e;
+  Gc.full_major ();
+  checki "events ran" 4 (Engine.events_executed e);
+  checkb "fired closure's capture collected" false (Weak.check w 0);
+  checkb "finished tick's capture collected" false (Weak.check wt 0);
+  (* the engine stays usable, reusing the freed slots *)
+  let ran = ref false in
+  Engine.schedule e ~delay:1.0 (fun () -> ran := true);
+  Engine.run e;
+  checkb "engine reusable" true !ran
 
 (* ---------------- transmit hooks fire in registration order ------- *)
 
@@ -212,9 +334,6 @@ let () =
           Alcotest.test_case "rejects bad keys" `Quick test_calendar_rejects_bad_keys;
           Alcotest.test_case "below-floor add detected" `Quick
             test_calendar_below_floor_detected;
-          Alcotest.test_case "empty queue" `Quick test_calendar_empty_queue;
-          Alcotest.test_case "clear resets floor" `Quick
-            test_calendar_clear_resets_floor;
         ] );
       ( "engine",
         [
@@ -230,5 +349,7 @@ let () =
             test_every_reenqueues_after_body;
           Alcotest.test_case "on_transmit hook order" `Quick
             test_on_transmit_hook_order;
+          Alcotest.test_case "fired closure is collectable" `Quick
+            test_fired_closure_collectable;
         ] );
     ]

@@ -182,6 +182,92 @@ let test_faults_parse () =
       | Error _ -> ())
     [ ""; "3-7"; "3@2.5"; "a-b@1"; "3-7@x"; "3-7@5:restore@2" ]
 
+let test_faults_validation () =
+  (* times: finite and non-negative, in the failure and its undo alike *)
+  List.iter
+    (fun (parse, s) ->
+      match parse s with
+      | Ok _ -> Alcotest.failf "expected a rejected time in %S" s
+      | Error _ -> ())
+    [
+      (Faults.parse_link_failure, "1-2@nan");
+      (Faults.parse_link_failure, "1-2@inf");
+      (Faults.parse_link_failure, "1-2@-1");
+      (Faults.parse_link_failure, "1-2@1e309");
+      (Faults.parse_link_failure, "1-2@5:restore@nan");
+      (Faults.parse_link_failure, "1-2@5:restore@inf");
+      (Faults.parse_node_failure, "5@-0.5");
+      (Faults.parse_node_failure, "5@nan");
+      (Faults.parse_partition, "1,2@nan");
+      (Faults.parse_partition, "1,2@-3:heal@4");
+      (Faults.parse_partition, "1,2@3:heal@inf");
+    ];
+  (match Faults.parse_link_failure "1-2@-0" with
+  | Ok [ { Faults.at; _ } ] ->
+    checkb "-0 reads as +0" false (Float.sign_bit at)
+  | _ -> Alcotest.fail "1-2@-0 should parse");
+  (* node ids: checked against the topology before anything runs *)
+  let specs s =
+    match Faults.parse_link_failure s with
+    | Ok sp -> sp
+    | Error e -> Alcotest.failf "parse %S: %s" s e
+  in
+  checkb "in range" true (Faults.check_nodes ~nodes:48 (specs "23-24@5") = Ok ());
+  checkb "endpoint out of range" true
+    (Result.is_error (Faults.check_nodes ~nodes:48 (specs "999-1000@5")));
+  checkb "last node in range, n itself not" true
+    (Faults.check_nodes ~nodes:48 (specs "0-47@5") = Ok ()
+    && Result.is_error (Faults.check_nodes ~nodes:48 (specs "0-48@5")));
+  (match Faults.parse_partition "3,-1@2" with
+  | Ok sp ->
+    checkb "negative partition node" true
+      (Result.is_error (Faults.check_nodes ~nodes:48 sp))
+  | Error e -> Alcotest.failf "parse: %s" e);
+  match Faults.parse_node_failure "60@1:restore@2" with
+  | Ok sp ->
+    checkb "node failure and restore" true
+      (Result.is_error (Faults.check_nodes ~nodes:48 sp))
+  | Error e -> Alcotest.failf "parse: %s" e
+
+(* Fault strings assembled from well- and ill-formed pieces: whatever a
+   parser accepts carries only finite, non-negative (+0, never -0)
+   times, so a parsed schedule can always be installed. *)
+let prop_parsed_times_valid =
+  let time =
+    QCheck.Gen.oneofl
+      [ "0"; "2.5"; "1e3"; "-0"; "-1"; "nan"; "-nan"; "inf"; "-inf";
+        "infinity"; "1e309"; "0x1p3"; "x"; "" ]
+  in
+  let node = QCheck.Gen.oneofl [ "0"; "3"; "7"; "-1"; "a" ] in
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun (form, (a, b), (t1, t2), undo) ->
+          let tail k = if undo then Printf.sprintf ":%s@%s" k t2 else "" in
+          match form with
+          | 0 -> `Link (Printf.sprintf "%s-%s@%s%s" a b t1 (tail "restore"))
+          | 1 -> `Node (Printf.sprintf "%s@%s%s" a t1 (tail "restore"))
+          | _ -> `Part (Printf.sprintf "%s,%s@%s%s" a b t1 (tail "heal")))
+        (quad (int_bound 2) (pair node node) (pair time time) bool))
+  in
+  let print = function `Link s | `Node s | `Part s -> s in
+  QCheck.Test.make ~name:"parsed fault times are finite and non-negative"
+    ~count:500 (QCheck.make ~print gen) (fun input ->
+      let parsed =
+        match input with
+        | `Link s -> Faults.parse_link_failure s
+        | `Node s -> Faults.parse_node_failure s
+        | `Part s -> Faults.parse_partition s
+      in
+      match parsed with
+      | Error _ -> true
+      | Ok specs ->
+        List.for_all
+          (fun sp ->
+            Float.is_finite sp.Faults.at && sp.Faults.at >= 0.0
+            && not (Float.sign_bit sp.Faults.at))
+          specs)
+
 let test_faults_install_and_random () =
   let e, net = string_net () in
   let f =
@@ -329,6 +415,75 @@ let acceptance_scenario () =
     ~faults:[ { Faults.at = 15.0; event = Faults.Link_down (23, 24) } ]
     ()
 
+(* Churn and link failures in one run: a failure refreshes the
+   m-router's APSP, and every group's DCDM state must follow it — a
+   group whose tree missed the dead link kept grafting later churn
+   JOINs over it, leaving a router with a downstream entry the tree
+   no longer had ([entry-coherence] at quiescence). *)
+let test_churn_with_link_failures () =
+  let seed = 9 and n = 60 and packets = 50 in
+  let spec = Topology.Waxman.generate ~seed ~n () in
+  let g = spec.Topology.Spec.graph in
+  let apsp = Netgraph.Apsp.compute g in
+  let center = Scmp.Placement.pick apsp Scmp.Placement.Min_avg_delay in
+  let members =
+    Prng.sample (Prng.create (seed + 23)) 12 n
+    |> List.filter (fun x -> x <> center)
+  in
+  let sc =
+    Runner.make ~data_count:packets ~spec ~center ~source:(List.hd members)
+      ~members ()
+  in
+  let t0 = sc.Runner.data_start in
+  let t1 = t0 +. (sc.Runner.data_interval *. float_of_int packets) in
+  let sc =
+    {
+      sc with
+      Runner.faults =
+        Faults.random_link_failures ~seed:42 ~count:3 ~t0 ~t1 g;
+      churn =
+        Some
+          {
+            Runner.mean_interarrival = 0.5;
+            mean_holding = 5.0;
+            horizon = t1;
+            churn_seed = seed + 31;
+          };
+    }
+  in
+  let r = Runner.run ~check:true (Driver.find_exn "scmp") sc in
+  checkb "the faults reconverged routes" true (r.Runner.routes_epochs >= 1);
+  checkb "delivery ratio >= 0.95" true (r.Runner.delivery_ratio >= 0.95)
+
+(* A driver whose self-check always fails: SCMP with [verify] forced
+   to an error. *)
+module Failing_verify : Driver.S = struct
+  let name = "scmp-failing-verify"
+  let display = "SCMP!"
+
+  let setup cfg =
+    {
+      (Driver.setup (Driver.find_exn "scmp") cfg) with
+      Driver.verify = (fun () -> Error "forced failure");
+    }
+end
+
+let test_failed_check_keeps_trace () =
+  let path = Filename.temp_file "scmp_trace" ".txt" in
+  Sys.remove path;
+  let spec = Topology.Arpanet.generate ~seed:1 in
+  let sc =
+    Runner.make ~spec ~center:24 ~source:4 ~members:[ 4; 9; 30 ]
+      ~trace_path:path ~data_count:3 ()
+  in
+  (match Runner.run ~check:true (module Failing_verify) sc with
+  | _ -> Alcotest.fail "the forced verify failure must raise"
+  | exception Check.Invariant.Violation _ -> ());
+  checkb "trace file written" true (Sys.file_exists path);
+  let size = In_channel.with_open_bin path In_channel.length in
+  Sys.remove path;
+  checkb "trace file non-empty" true (size > 0L)
+
 let run_acceptance () =
   let report = Obs.Report.create ~name:"acceptance" () in
   let r =
@@ -374,6 +529,9 @@ let () =
       ( "fault-schedules",
         [
           Alcotest.test_case "CLI syntax parsing" `Quick test_faults_parse;
+          Alcotest.test_case "time and node validation" `Quick
+            test_faults_validation;
+          QCheck_alcotest.to_alcotest prop_parsed_times_valid;
           Alcotest.test_case "install and seeded randomness" `Quick
             test_faults_install_and_random;
         ] );
@@ -388,6 +546,8 @@ let () =
         [
           Alcotest.test_case "mid-session tree-link failure" `Quick
             test_tree_link_failure_repair;
+          Alcotest.test_case "churn with link failures stays coherent" `Quick
+            test_churn_with_link_failures;
         ] );
       ( "acceptance",
         [
@@ -395,5 +555,7 @@ let () =
             test_acceptance_run;
           Alcotest.test_case "deterministic report" `Quick
             test_acceptance_deterministic;
+          Alcotest.test_case "failed check keeps the trace" `Quick
+            test_failed_check_keeps_trace;
         ] );
     ]

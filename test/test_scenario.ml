@@ -98,6 +98,24 @@ let test_manifest_strictness () =
   checkb "bad fault line rejected at load" true
     (contains ~needle:"nonsense"
        (err (base {|, "link_failures": ["nonsense"]|})));
+  List.iter
+    (fun (field, line) ->
+      checkb (line ^ " rejected at load, named") true
+        (contains ~needle:(Printf.sprintf "%S" line)
+           (err (base (Printf.sprintf {|, %S: [%S]|} field line)))))
+    [
+      ("link_failures", "1-2@nan");
+      ("link_failures", "1-2@-1");
+      ("link_failures", "999-1000@5");
+      ("node_failures", "48@5");
+      ("partitions", "3,60@5:heal@6");
+    ];
+  checkb "range is checked against every topology" true
+    (contains ~needle:"random3:30"
+       (err
+          {|{"schema": "scmp-scenario/1", "name": "x", "drivers": ["scmp"],
+             "topologies": ["arpanet", "random3:30"],
+             "link_failures": ["40-41@5"]}|}));
   checkb "bad schema" true
     (contains ~needle:"scmp-scenario/1"
        (err {|{"schema": "scmp-scenario/2", "name": "x",
